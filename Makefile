@@ -1,9 +1,9 @@
 # Tier-1 verification for the repro module. `make ci` mirrors the CI
 # workflow step for step — gofmt, vet, staticcheck, qlint, race tests,
-# the coverage gates, the bench smoke and the load-harness smoke — so
-# local verification catches everything the workflow does. Its first
-# step (build) is the guard that keeps the go.mod regression from
-# recurring.
+# the benchmark module's vet and tests, the coverage gates, the bench
+# smoke and the load-harness smoke — so local verification catches
+# everything the workflow does. Its first step (build) is the guard that
+# keeps the go.mod regression from recurring.
 #
 # Load-harness targets: `make load-smoke` is the fast PR gate (one
 # scenario, one seed, byte-reproducibility check, negative control);
@@ -30,7 +30,7 @@ STAB_VS_DENSE_CEILING ?= 1
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build fmt vet staticcheck lint test race bench bench-smoke bench-baseline bench-gate cover metrics-smoke load-smoke load-gate vuln ci
+.PHONY: all build fmt vet staticcheck lint test race qbench bench bench-smoke bench-baseline bench-gate cover metrics-smoke load-smoke load-gate vuln ci
 
 all: ci
 
@@ -68,6 +68,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark (qbench/) is its own module, which the root `./...`
+# patterns skip; vet and test it explicitly so an API change that breaks
+# the benchmark fails CI instead of the next benchmark run.
+qbench:
+	cd qbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -177,4 +183,4 @@ load-gate:
 vuln:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@latest ./...
 
-ci: build fmt vet staticcheck lint race cover bench-smoke metrics-smoke load-smoke
+ci: build fmt vet staticcheck lint race qbench cover bench-smoke metrics-smoke load-smoke

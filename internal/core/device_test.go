@@ -7,6 +7,7 @@ import (
 	"repro/internal/openql"
 	"repro/internal/qx"
 	"repro/internal/target"
+	"repro/internal/topology"
 )
 
 // Re-calibrating a device must change the stack's compile fingerprint —
@@ -133,5 +134,55 @@ func TestNoiseFromDevice(t *testing.T) {
 	}
 	if m.TwoQubitDepolarizingProb != 1e-2 {
 		t.Errorf("uniform two-qubit error %g, want 1e-2", m.TwoQubitDepolarizingProb)
+	}
+}
+
+// A Clifford program wider than 63 qubits on a calibrated device runs
+// on the stabilizer engine through the micro-architecture; its
+// bitstring-keyed outcomes must survive both remaps (compacted →
+// physical in microarch, physical → logical here) instead of vanishing.
+func TestWideGHZOnCalibratedDevice(t *testing.T) {
+	const n, width, shots = 66, 70, 10
+	topo := topology.Linear(width)
+	dev := &target.Device{
+		Name:        "linear-70",
+		NumQubits:   width,
+		CycleTimeNs: 20,
+		Gates:       target.NISQGates(1, 2, 15, 10),
+		Topology:    topo,
+		Calibration: target.Uniform(width, topo, target.QubitCalibration{}, 0),
+	}
+	stack, err := NewStackForDevice(dev, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack.Engine = qx.EngineAuto
+	k := openql.NewKernel("ghz", n).H(0)
+	for q := 1; q < n; q++ {
+		k.CNOT(q-1, q)
+	}
+	for q := 0; q < n; q++ {
+		k.Measure(q)
+	}
+	p := openql.NewProgram("ghz", n)
+	p.AddKernel(k)
+	rep, err := stack.Execute(p, shots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Engine != qx.EngineStabilizer || rep.EQASM == "" {
+		t.Fatalf("ran on %q (eQASM %d bytes), want the stabilizer behind the micro-architecture", rep.Engine, len(rep.EQASM))
+	}
+	res := rep.Result
+	zeros, ones := strings.Repeat("0", n), strings.Repeat("1", n)
+	sum := 0
+	for k, c := range res.Outcomes() {
+		if s := k.String(); s != zeros && s != ones {
+			t.Errorf("impossible GHZ outcome %s", s)
+		}
+		sum += c
+	}
+	if sum != shots || res.Shots != shots || res.NumQubits != n {
+		t.Errorf("result holds %d counts, Shots=%d on %d qubits; want %d on %d", sum, res.Shots, res.NumQubits, shots, n)
 	}
 }

@@ -45,7 +45,8 @@ type Stack struct {
 	// stacks with different pass specs compile differently.
 	Passes string
 	// Engine names the qx execution engine backing the stack ("reference",
-	// "optimized"); empty selects the qx default. Part of Fingerprint.
+	// "optimized", "stabilizer", "auto" or any registered engine); empty
+	// selects the qx default. Part of Fingerprint.
 	Engine string
 	// ParallelShots is the shot count at or above which RunCompiled fans
 	// shot execution out across CPU cores in parallel batches. 0 selects
@@ -349,10 +350,10 @@ func (s *Stack) RunCompiled(compiled *openql.Compiled, logicalQubits, shots int,
 		Engine:   engine.Name(),
 	}
 	parallel := shots >= s.parallelShotThreshold()
+	var res *qx.Result
 	if s.Mode == openql.PerfectQubits {
 		sim := qx.NewWithEngine(seed, engine)
 		sim.KernelWorkers = s.KernelWorkers
-		var res *qx.Result
 		if parallel {
 			res, err = sim.RunParallel(compiled.Circuit, shots, 0)
 		} else {
@@ -362,28 +363,40 @@ func (s *Stack) RunCompiled(compiled *openql.Compiled, logicalQubits, shots int,
 			return nil, err
 		}
 		report.ExecNs = res.ElapsedNs
-		report.Result = toLogical(res, logicalQubits, compiled.MapResult)
-		return report, nil
+	} else {
+		// Realistic path: eQASM through the micro-architecture onto noisy QX.
+		backend := qx.NewNoisyWithEngine(seed, s.Noise, engine)
+		backend.KernelWorkers = s.KernelWorkers
+		machine := microarch.New(s.Microcode, backend)
+		if parallel {
+			machine.ShotWorkers = runtime.GOMAXPROCS(0)
+		}
+		execStart := time.Now()
+		run, err := machine.Execute(compiled.EQASM, shots)
+		if err != nil {
+			return nil, err
+		}
+		report.ExecNs = time.Since(execStart).Nanoseconds()
+		report.EQASM = compiled.EQASM.String()
+		report.Trace = run.Trace
+		if run.Trace != nil {
+			report.WallNs = run.Trace.TotalNs
+		}
+		res = run.Result
 	}
-	// Realistic path: eQASM through the micro-architecture onto noisy QX.
-	backend := qx.NewNoisyWithEngine(seed, s.Noise, engine)
-	backend.KernelWorkers = s.KernelWorkers
-	machine := microarch.New(s.Microcode, backend)
-	if parallel {
-		machine.ShotWorkers = runtime.GOMAXPROCS(0)
+	// Outcomes come back in physical qubit positions; the mapper's
+	// measure-time bindings return them to the program's logical order.
+	if mr := compiled.MapResult; mr != nil && res != nil {
+		from := make([]int, logicalQubits)
+		for l := range from {
+			from[l] = -1
+			if p, ok := mr.MeasurePhys[l]; ok {
+				from[l] = p
+			}
+		}
+		res = res.Remap(logicalQubits, from)
 	}
-	execStart := time.Now()
-	run, err := machine.Execute(compiled.EQASM, shots)
-	if err != nil {
-		return nil, err
-	}
-	report.ExecNs = time.Since(execStart).Nanoseconds()
-	report.EQASM = compiled.EQASM.String()
-	report.Result = toLogical(run.Result, logicalQubits, compiled.MapResult)
-	report.Trace = run.Trace
-	if run.Trace != nil {
-		report.WallNs = run.Trace.TotalNs
-	}
+	report.Result = res
 	return report, nil
 }
 
@@ -456,66 +469,4 @@ func (s *Stack) PrefixFingerprint() string {
 		prefixSpec = pre.Spec
 	}
 	return fmt.Sprintf("gates=%s|prefix=%s", s.Platform.GateSetHash(), prefixSpec)
-}
-
-// toLogical translates outcome bitmasks from physical qubit positions
-// back to the program's logical qubit order, using the mapper's
-// measure-time bindings. Without a mapping the result passes through.
-func toLogical(res *qx.Result, logicalQubits int, mr *compiler.MapResult) *qx.Result {
-	if res == nil || mr == nil {
-		return res
-	}
-	out := &qx.Result{
-		NumQubits:          logicalQubits,
-		Shots:              res.Shots,
-		Counts:             map[int]int{},
-		GateErrorsInjected: res.GateErrorsInjected,
-	}
-	//qlint:nondeterministic-ok order-independent: commutative += accumulation into a fresh map; rendering sorts
-	for idx, count := range res.Counts {
-		logical := 0
-		for l := 0; l < logicalQubits; l++ {
-			p, ok := mr.MeasurePhys[l]
-			if !ok {
-				continue
-			}
-			if idx&(1<<uint(p)) != 0 {
-				logical |= 1 << uint(l)
-			}
-		}
-		out.Counts[logical] += count
-	}
-	// Wide registers (more than 63 qubits, stabilizer-engine territory)
-	// carry bitstring-keyed counts; remap character-wise — qubit q is
-	// the (len-1-q)-th character. A wide physical register can still map
-	// to a narrow logical one, in which case the remap lands back in
-	// Counts.
-	//qlint:nondeterministic-ok order-independent: commutative += accumulation into fresh maps; rendering sorts
-	for bits, count := range res.WideCounts {
-		logical := make([]byte, logicalQubits)
-		for l := 0; l < logicalQubits; l++ {
-			logical[logicalQubits-1-l] = '0'
-			p, ok := mr.MeasurePhys[l]
-			if !ok || p >= len(bits) {
-				continue
-			}
-			logical[logicalQubits-1-l] = bits[len(bits)-1-p]
-		}
-		if logicalQubits > 63 {
-			if out.WideCounts == nil {
-				out.WideCounts = map[string]int{}
-			}
-			out.WideCounts[string(logical)] += count
-			continue
-		}
-		idx := 0
-		for _, ch := range logical {
-			idx <<= 1
-			if ch == '1' {
-				idx |= 1
-			}
-		}
-		out.Counts[idx] += count
-	}
-	return out
 }

@@ -295,3 +295,23 @@ func TestStackPassesOption(t *testing.T) {
 		t.Error("unknown pass spec accepted")
 	}
 }
+
+// The realistic path reports the execution diagnostics of the shots it
+// ran through the micro-architecture, serial and in parallel batches.
+func TestRealisticResultCarriesDiagnostics(t *testing.T) {
+	s := NewSuperconducting(3)
+	compiled, err := s.Compile(bell())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, threshold := range []int{-1, 8} {
+		s.ParallelShots = threshold
+		rep, err := s.RunCompiled(compiled, 2, 16, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := rep.Result; res.Batches < 1 || res.ElapsedNs <= 0 {
+			t.Errorf("ParallelShots=%d: Batches=%d ElapsedNs=%d, want both positive", threshold, res.Batches, res.ElapsedNs)
+		}
+	}
+}

@@ -134,7 +134,8 @@ type Machine struct {
 	// quantum state), which the paper's stack uses for hardware
 	// bring-up. Any engine-backed simulator works: the ADI only drives
 	// the qx API, so swapping the execution engine (reference, optimized,
-	// or a registered alternative) never touches this layer.
+	// stabilizer, auto or a registered alternative) never touches this
+	// layer.
 	Backend *qx.Simulator
 	// ShotWorkers > 1 splits the per-shot quantum execution across that
 	// many goroutines, each on its own derived-seed simulator (see
@@ -182,64 +183,46 @@ func (m *Machine) Execute(prog *eqasm.Program, shots int) (*RunReport, error) {
 // The physical register is compacted onto the qubits the program touches
 // (idle qubits stay in |0> and carry no information), which keeps the
 // state-vector cost proportional to the active circuit rather than the
-// full chip.
+// full chip; the outcomes are then remapped back to physical positions.
 func (m *Machine) runBackend(prog *eqasm.Program, gates []circuit.Gate, shots int) (*qx.Result, error) {
-	used := map[int]bool{}
+	// compact[p] is physical qubit p's index in the compacted register,
+	// or -1 when p is idle: the compaction map and, read the other way,
+	// the remap back to physical positions.
+	compact := make([]int, prog.NumQubits)
 	for _, g := range gates {
 		for _, q := range g.Qubits {
-			used[q] = true
+			if q < 0 || q >= len(compact) {
+				return nil, fmt.Errorf("microarch: %s on qubit %d outside the %d-qubit register", g.Name, q, prog.NumQubits)
+			}
+			compact[q] = 1
 		}
 	}
-	phys := make([]int, 0, len(used))
-	for q := 0; q < prog.NumQubits; q++ {
-		if used[q] {
-			phys = append(phys, q)
+	active := 0
+	for q, used := range compact {
+		if used == 0 {
+			compact[q] = -1
+			continue
 		}
+		compact[q] = active
+		active++
 	}
-	compactOf := map[int]int{}
-	for i, q := range phys {
-		compactOf[q] = i
-	}
-	c := circuit.New(prog.Name, len(phys))
+	c := circuit.New(prog.Name, active)
 	for _, g := range gates {
 		ng := g.Clone()
 		for i, q := range ng.Qubits {
-			ng.Qubits[i] = compactOf[q]
+			ng.Qubits[i] = compact[q]
 		}
 		c.AddGate(ng)
 	}
-	var (
-		res *qx.Result
-		err error
-	)
-	if m.ShotWorkers > 1 {
-		res, err = m.Backend.RunParallel(c, shots, m.ShotWorkers)
-	} else {
-		res, err = m.Backend.Run(c, shots)
-	}
+	// One shot worker runs the shots serially, exactly as Run.
+	res, err := m.Backend.RunParallel(c, shots, max(m.ShotWorkers, 1))
 	if err != nil {
 		return nil, err
 	}
-	if len(phys) == prog.NumQubits {
+	if active == prog.NumQubits {
 		return res, nil
 	}
-	// Expand outcome indices back to physical bit positions.
-	full := &qx.Result{
-		NumQubits:          prog.NumQubits,
-		Shots:              res.Shots,
-		Counts:             map[int]int{},
-		GateErrorsInjected: res.GateErrorsInjected,
-	}
-	for idx, count := range res.Counts {
-		fullIdx := 0
-		for i, q := range phys {
-			if idx&(1<<uint(i)) != 0 {
-				fullIdx |= 1 << uint(q)
-			}
-		}
-		full.Counts[fullIdx] += count
-	}
-	return full, nil
+	return res.Remap(prog.NumQubits, compact), nil
 }
 
 // decode expands timeline events through the microcode unit and the

@@ -92,13 +92,8 @@ func (sc *SurfaceCode) CircuitLogicalErrorRate(engine qx.Engine, p float64, shot
 			failures += n
 		}
 	}
-	for idx, n := range res.Counts {
-		idx := idx
-		tally(func(q int) bool { return idx>>uint(q)&1 == 1 }, n)
-	}
-	for bits, n := range res.WideCounts {
-		bits := bits
-		tally(func(q int) bool { return bits[len(bits)-1-q] == '1' }, n)
+	for k, n := range res.Outcomes() {
+		tally(k.Bit, n)
 	}
 	return float64(failures) / float64(res.Shots), nil
 }

@@ -316,3 +316,62 @@ func TestLatencyHistogram(t *testing.T) {
 		t.Errorf("p99.5 = %g µs, should catch the 50 ms outlier", p99)
 	}
 }
+
+// A job whose register is too wide for the dense engines fails on its
+// own — it must not take the worker (or qservd) down with it — and the
+// next job on the same backend still completes.
+func TestOversizedDenseJobFailsAlone(t *testing.T) {
+	s := New(Config{Seed: 3})
+	s.AddBackend(NewStackBackend(core.NewPerfect(5, 3)), 1)
+	s.Start()
+	t.Cleanup(s.Stop)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+
+	wide, err := s.Submit(Request{
+		CQASM:   "version 1.0\nqubits 31\nt q[0]\n",
+		Backend: "perfect",
+		Target:  target.Perfect(31),
+		Shots:   1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wide.Wait(ctx); err == nil || !strings.Contains(err.Error(), "dense engines") {
+		t.Fatalf("31-qubit non-Clifford job: err = %v, want the dense-limit error", err)
+	}
+	if wide.Status() != StatusFailed {
+		t.Errorf("oversized job status %q, want %q", wide.Status(), StatusFailed)
+	}
+	next := awaitJob(t, s, Request{Program: bellProgram("after-wide"), Backend: "perfect", Shots: 8})
+	if res := next.Result(); res == nil || res.Report == nil || res.Report.Result.Shots != 8 {
+		t.Fatal("job after the oversized one returned no result")
+	}
+}
+
+// The engine span of a job run through the micro-architecture reports
+// how many shot batches the engine ran, as direct-QX jobs do.
+func TestRealisticEngineSpanShotBatches(t *testing.T) {
+	s := New(Config{Seed: 9})
+	s.AddBackend(NewStackBackend(core.NewSuperconducting(9)), 1)
+	s.Start()
+	t.Cleanup(s.Stop)
+	j := awaitJob(t, s, Request{Program: bellProgram("batches"), Backend: "superconducting", Shots: 4})
+	var engine *obs.SpanView
+	var walk func(v *obs.SpanView)
+	walk = func(v *obs.SpanView) {
+		if v.Name == "engine" {
+			engine = v
+		}
+		for _, c := range v.Children {
+			walk(c)
+		}
+	}
+	walk(j.trace.View().Root)
+	if engine == nil {
+		t.Fatal("superconducting job has no engine span")
+	}
+	if engine.Attrs["shot_batches"] != "1" {
+		t.Errorf("engine span attrs %v, want shot_batches=1", engine.Attrs)
+	}
+}

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/qubo"
-	"repro/internal/qx"
 	"repro/internal/target"
 )
 
@@ -158,16 +157,9 @@ func viewJob(j *Job) JobView {
 		}
 		if res.Report != nil && res.Report.Result != nil {
 			r := res.Report.Result
-			rv.Counts = make(map[string]int, len(r.Counts)+len(r.WideCounts))
-			//qlint:nondeterministic-ok order-independent: key-preserving copy into a map; encoding/json sorts keys on render
-			for idx, c := range r.Counts {
-				rv.Counts[qx.BitString(idx, r.NumQubits)] = c
-			}
-			// Wide registers (>63 qubits, stabilizer engine) already key
-			// by bitstring.
-			//qlint:nondeterministic-ok order-independent: key-preserving copy into a map; encoding/json sorts keys on render
-			for bits, c := range r.WideCounts {
-				rv.Counts[bits] = c
+			rv.Counts = map[string]int{}
+			for k, c := range r.Outcomes() {
+				rv.Counts[k.String()] = c
 			}
 			rv.Shots = r.Shots
 			rv.WallNs = res.Report.WallNs

@@ -44,9 +44,9 @@ type Request struct {
 	// that accepts the payload.
 	Backend string
 	// Engine selects the qx execution engine for this job's gate
-	// execution ("reference", "optimized", or any registered engine);
-	// empty uses the backend stack's configured engine. Ignored by
-	// annealing backends.
+	// execution ("reference", "optimized", "stabilizer", "auto", or any
+	// registered engine); empty uses the backend stack's configured
+	// engine. Ignored by annealing backends.
 	Engine string
 	// Passes is a comma-separated compiler pass spec for this job's gate
 	// compilation, with optional per-pass options (e.g. "decompose,
@@ -252,6 +252,8 @@ func (j *Job) markRunning() {
 	j.mu.Unlock()
 }
 
+// finish records the job's outcome. It does not wake waiters: the worker
+// closes done once the job's spans and metrics are recorded too.
 func (j *Job) finish(res *Result, cacheHit bool, err error) {
 	j.mu.Lock()
 	j.finished = time.Now()
@@ -264,5 +266,4 @@ func (j *Job) finish(res *Result, cacheHit bool, err error) {
 		j.result = res
 	}
 	j.mu.Unlock()
-	close(j.done)
 }

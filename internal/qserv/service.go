@@ -460,6 +460,9 @@ func (s *Service) runJob(p *backendPool, job *Job) {
 			}
 		}
 	}
+	// Wake waiters only now, so a caller returning from Wait sees the
+	// job's spans and metrics complete.
+	close(job.done)
 	retireStart := time.Now()
 	s.retire(job)
 	if s.met != nil {

@@ -18,9 +18,13 @@ type State struct {
 	workers int
 }
 
-// NewState returns the n-qubit state initialised to |0...0>.
+// MaxQubits is the widest register a dense State holds: 2^30 amplitudes.
+const MaxQubits = 30
+
+// NewState returns the n-qubit state initialised to |0...0>. It panics
+// outside [0, MaxQubits]; callers sizing a state from input check first.
 func NewState(n int) *State {
-	if n < 0 || n > 30 {
+	if n < 0 || n > MaxQubits {
 		panic(fmt.Sprintf("quantum: unsupported qubit count %d", n))
 	}
 	s := &State{n: n, amps: make([]complex128, 1<<uint(n))}

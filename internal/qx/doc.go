@@ -30,8 +30,8 @@
 //     with noise, only tableau-compatible models: stochastic Pauli
 //     channels — depolarizing, T2 dephasing, readout flips — are fine,
 //     amplitude damping (T1) is rejected because a non-unital channel
-//     has no stabilizer unravelling. Results for registers wider than
-//     63 qubits land in Result.WideCounts, keyed by bitstring.
+//     has no stabilizer unravelling. Registers wider than 63 qubits are
+//     fine: Result keys their outcomes by bitstring (see below).
 //   - "auto" (Auto): a Dispatcher that inspects each circuit at run
 //     time and picks Stabilizer when circuit.IsClifford holds and the
 //     noise model is CliffordCompatible, Optimized otherwise. Layers
@@ -59,6 +59,15 @@
 // whole stack: core.Stack.Engine (part of the stack fingerprint), the
 // qserv per-job "engine" field (default auto), and the -engine flags of
 // cmd/qx and cmd/qservd.
+//
+// # Results
+//
+// Result is the one aggregate of measured outcomes handed upward, and
+// only it knows how they are keyed (int index up to 63 qubits, bitstring
+// beyond): consumers read outcomes through its accessors (Outcomes,
+// Count, Top, Histogram), never the Counts/WideCounts maps, and remap
+// qubits with Remap — the micro-architecture to physical positions,
+// core.Stack to logical order.
 //
 // To add an engine, implement Engine (execute a validated circuit against
 // a dense state, consuming randomness only from the ExecEnv PRNG) and

@@ -47,6 +47,16 @@ type ExecEnv struct {
 
 func (e *ExecEnv) noisy() bool { return !e.Noise.IsZero() }
 
+// denseFits rejects registers too wide for the dense engines' state
+// vector, which quantum.NewState would otherwise panic on.
+func denseFits(c *circuit.Circuit) error {
+	if c.NumQubits > quantum.MaxQubits {
+		return fmt.Errorf("qx: %d-qubit register exceeds the dense engines' %d-qubit limit; Clifford circuits run wider on the %q engine",
+			c.NumQubits, quantum.MaxQubits, EngineStabilizer)
+	}
+	return nil
+}
+
 // Engine registry names.
 const (
 	// EngineReference is the naive dense engine: generic matrix

@@ -42,7 +42,7 @@ func (optimizedEngine) Run(c *circuit.Circuit, shots int, env *ExecEnv) (*Result
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{NumQubits: c.NumQubits, Shots: shots, Counts: map[int]int{}}
+	res := newResult(c.NumQubits, shots)
 
 	// Deterministic fast path: one execution, then O(log dim) sampling
 	// per shot. The readout-error pass is statically a no-op here (no
@@ -62,22 +62,16 @@ func (optimizedEngine) Run(c *circuit.Circuit, shots int, env *ExecEnv) (*Result
 		st.Reset()
 		bits, errs := prog.executeOnce(st, env)
 		res.GateErrorsInjected += errs
-		idx := 0
 		if prog.hasMeasure {
 			// Readout error was already applied per measurement gate;
 			// unmeasured qubits are never read out, so no register-wide
 			// flip pass here.
-			//qlint:nondeterministic-ok order-independent: ORs disjoint bits into an index; any visit order builds the same mask
-			for q, b := range bits {
-				if b == 1 {
-					idx |= 1 << uint(q)
-				}
-			}
-		} else {
-			idx = st.MeasureAll(env.Rng)
-			if noisy {
-				idx = applyEnvReadoutError(env, idx, c.NumQubits)
-			}
+			res.countBits(bits)
+			continue
+		}
+		idx := st.MeasureAll(env.Rng)
+		if noisy {
+			idx = applyEnvReadoutError(env, idx, c.NumQubits)
 		}
 		res.Counts[idx]++
 	}
@@ -143,6 +137,9 @@ type denseProgram struct {
 // fusing single-qubit runs when fusion is on (perfect mode only — with
 // noise each physical gate must see its own error channel).
 func compileDense(c *circuit.Circuit, fusion bool) (*denseProgram, error) {
+	if err := denseFits(c); err != nil {
+		return nil, err
+	}
 	prog := &denseProgram{numQubits: c.NumQubits, ops: make([]denseOp, 0, len(c.Gates))}
 	if fusion {
 		for _, eop := range fuseSingleQubitRuns(c.Gates) {

@@ -22,6 +22,9 @@ func (referenceEngine) Name() string { return EngineReference }
 
 // RunState executes the circuit once and returns the final state vector.
 func (referenceEngine) RunState(c *circuit.Circuit, env *ExecEnv) (*quantum.State, error) {
+	if err := denseFits(c); err != nil {
+		return nil, err
+	}
 	st := quantum.NewState(c.NumQubits)
 	if _, _, err := refExecuteOnce(c, st, env); err != nil {
 		return nil, err
@@ -31,7 +34,10 @@ func (referenceEngine) RunState(c *circuit.Circuit, env *ExecEnv) (*quantum.Stat
 
 // Run executes the circuit for the given number of shots.
 func (referenceEngine) Run(c *circuit.Circuit, shots int, env *ExecEnv) (*Result, error) {
-	res := &Result{NumQubits: c.NumQubits, Shots: shots, Counts: map[int]int{}}
+	if err := denseFits(c); err != nil {
+		return nil, err
+	}
+	res := newResult(c.NumQubits, shots)
 	hasMeasure := circuitMeasures(c)
 	noisy := env.noisy()
 
@@ -57,22 +63,16 @@ func (referenceEngine) Run(c *circuit.Circuit, shots int, env *ExecEnv) (*Result
 			return nil, err
 		}
 		res.GateErrorsInjected += errs
-		idx := 0
 		if hasMeasure {
 			// Readout error was already applied per measurement gate;
 			// unmeasured qubits are never read out, so no register-wide
 			// flip pass here.
-			//qlint:nondeterministic-ok order-independent: ORs disjoint bits into an index; any visit order builds the same mask
-			for q, b := range bits {
-				if b == 1 {
-					idx |= 1 << uint(q)
-				}
-			}
-		} else {
-			idx = st.MeasureAll(env.Rng)
-			if noisy {
-				idx = applyEnvReadoutError(env, idx, c.NumQubits)
-			}
+			res.countBits(bits)
+			continue
+		}
+		idx := st.MeasureAll(env.Rng)
+		if noisy {
+			idx = applyEnvReadoutError(env, idx, c.NumQubits)
 		}
 		res.Counts[idx]++
 	}

@@ -60,11 +60,7 @@ func (stabilizerEngine) Run(c *circuit.Circuit, shots int, env *ExecEnv) (*Resul
 		return nil, err
 	}
 	n := c.NumQubits
-	res := &Result{NumQubits: n, Shots: shots, Counts: map[int]int{}}
-	wide := n > 63
-	if wide {
-		res.WideCounts = map[string]int{}
-	}
+	res := newResult(n, shots)
 	noisy := env.noisy()
 
 	// Deterministic fast path, mirroring the dense engines: one
@@ -77,7 +73,7 @@ func (stabilizerEngine) Run(c *circuit.Circuit, shots int, env *ExecEnv) (*Resul
 		buf := make([]uint64, t.w)
 		for i := 0; i < shots; i++ {
 			sampler.sample(env.Rng, buf)
-			res.countWords(buf)
+			res.addWords(buf, 1)
 		}
 		return res, nil
 	}
@@ -115,7 +111,7 @@ func (stabilizerEngine) Run(c *circuit.Circuit, shots int, env *ExecEnv) (*Resul
 		buf := make([]uint64, t.w)
 		sampler.sample(env.Rng, buf)
 		tabReadoutError(env, buf, n)
-		res.countWords(buf)
+		res.addWords(buf, 1)
 	}
 	return res, nil
 }

@@ -137,22 +137,14 @@ func (s *Simulator) Run(c *circuit.Circuit, shots int) (*Result, error) {
 // run their amplitude kernels serially — shot-level parallelism already
 // saturates the cores, so the two levels never multiply.
 func (s *Simulator) RunParallel(c *circuit.Circuit, shots, workers int) (*Result, error) {
+	workers = shotWorkers(workers, shots)
+	if workers <= 1 {
+		return s.Run(c, shots)
+	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if shots <= 0 {
-		return nil, fmt.Errorf("qx: shots must be positive, got %d", shots)
-	}
-	workers = shotWorkers(workers, shots)
 	start := time.Now()
-	if workers <= 1 {
-		res, err := s.engine().Run(c, shots, s.env())
-		if res != nil {
-			res.ElapsedNs = time.Since(start).Nanoseconds()
-			res.Batches = 1
-		}
-		return res, err
-	}
 	batchSeed := s.rng.Int63()
 	results := make([]*Result, workers)
 	errs := make([]error, workers)
@@ -178,23 +170,12 @@ func (s *Simulator) RunParallel(c *circuit.Circuit, shots, workers int) (*Result
 		}(w, n)
 	}
 	wg.Wait()
-	merged := &Result{NumQubits: c.NumQubits, Shots: shots, Counts: map[int]int{}}
+	merged := newResult(c.NumQubits, 0)
 	for w := 0; w < workers; w++ {
 		if errs[w] != nil {
 			return nil, errs[w]
 		}
-		//qlint:nondeterministic-ok order-independent: commutative integer += into the merged map
-		for idx, count := range results[w].Counts {
-			merged.Counts[idx] += count
-		}
-		//qlint:nondeterministic-ok order-independent: commutative integer += into the merged map
-		for bits, count := range results[w].WideCounts {
-			if merged.WideCounts == nil {
-				merged.WideCounts = map[string]int{}
-			}
-			merged.WideCounts[bits] += count
-		}
-		merged.GateErrorsInjected += results[w].GateErrorsInjected
+		merged.Merge(results[w])
 	}
 	merged.ElapsedNs = time.Since(start).Nanoseconds()
 	merged.Batches = workers

@@ -208,16 +208,9 @@ func RunSimultaneous(sim *qx.Simulator, n int, lengths []int, seqs, shots int, s
 			if err != nil {
 				return nil, err
 			}
-			for idx, cnt := range res.Counts {
+			for k, cnt := range res.Outcomes() {
 				for q := 0; q < n; q++ {
-					if idx>>uint(q)&1 == 0 {
-						zeros[q] += cnt
-					}
-				}
-			}
-			for bits, cnt := range res.WideCounts {
-				for q := 0; q < n; q++ {
-					if bits[len(bits)-1-q] == '0' {
+					if !k.Bit(q) {
 						zeros[q] += cnt
 					}
 				}
