@@ -128,7 +128,9 @@ cover:
 # End-to-end scrape smoke: boot qservd, submit a job over HTTP, then
 # verify /metrics serves Prometheus exposition with the job counters,
 # cache and pass families populated, and that the trace endpoint serves
-# the span tree for the submitted job's X-Trace-Id.
+# the span tree for the submitted job's X-Trace-Id. Then drive the
+# session path: open a parameterised session, bind it, wait for the
+# bind job and check its trace records the "bind" span.
 metrics-smoke:
 	$(GO) build -o bin/qservd ./cmd/qservd
 	@./bin/qservd -addr 127.0.0.1:18080 -log-level warn & pid=$$!; \
@@ -150,7 +152,19 @@ metrics-smoke:
 	done; \
 	curl -fsS "http://127.0.0.1:18080/jobs/$$trace/trace" | grep -q '"queue.wait"' \
 		|| { echo "metrics-smoke: trace endpoint missing queue.wait span"; exit 1; }; \
-	echo "metrics-smoke: /metrics and /jobs/{id}/trace OK"
+	sess=$$(curl -fsS -X POST http://127.0.0.1:18080/sessions \
+		-d '{"cqasm":"version 1.0\nqubits 2\nh q[0]\nrz q[0], $$theta\ncnot q[0],q[1]\nmeasure q[0]\nmeasure q[1]","backend":"perfect","shots":16}' \
+		| sed -n 's/.*"id": *"\(sess-[0-9]*\)".*/\1/p'); \
+	[ -n "$$sess" ] || { echo "metrics-smoke: POST /sessions returned no session id"; exit 1; }; \
+	bind=$$(curl -fsS -D - -o /dev/null -X POST "http://127.0.0.1:18080/sessions/$$sess/bind" \
+		-d '{"values":{"theta":0.5}}' \
+		| awk 'tolower($$1)=="x-trace-id:" {gsub(/\r/,"",$$2); print $$2}'); \
+	[ -n "$$bind" ] || { echo "metrics-smoke: no X-Trace-Id on bind"; exit 1; }; \
+	curl -fsS "http://127.0.0.1:18080/jobs/$$bind?wait=5s" | grep -q '"status": "done"' \
+		|| { echo "metrics-smoke: bind job $$bind did not finish"; exit 1; }; \
+	curl -fsS "http://127.0.0.1:18080/jobs/$$bind/trace" | grep -q '"bind"' \
+		|| { echo "metrics-smoke: bind job trace missing bind span"; exit 1; }; \
+	echo "metrics-smoke: /metrics, /jobs/{id}/trace and the session bind path OK"
 
 # Load-harness smoke — the required CI job. Builds qload, proves the
 # workload generator is byte-reproducible for a fixed (scenario, seed)

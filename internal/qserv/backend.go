@@ -37,6 +37,14 @@ type CompileEnv struct {
 	Span *obs.Span
 }
 
+// span returns the job's run span; nil without an env or tracing.
+func (e *CompileEnv) span() *obs.Span {
+	if e == nil {
+		return nil
+	}
+	return e.Span
+}
+
 // Backend is one execution target behind the service's worker pools. Run
 // must be safe for concurrent use: workers of the same pool call it in
 // parallel.
@@ -65,17 +73,6 @@ type DeviceProvider interface {
 // finish against the old tables) and returns the re-calibrated device.
 type Recalibrator interface {
 	Recalibrate(cal *target.Calibration) (*target.Device, error)
-}
-
-// SessionBackend is implemented by backends that can pin a compiled —
-// possibly parameterised — artefact for the variational session API
-// (POST /sessions): the gate backends. CompileForSession compiles the
-// request's program eagerly through the shared caches; the session then
-// streams parameter bindings against the pinned artefact without ever
-// re-entering the compiler.
-type SessionBackend interface {
-	Backend
-	CompileForSession(r *Request, env *CompileEnv) (*core.Stack, *openql.Program, *openql.Compiled, bool, error)
 }
 
 // StackBackend runs gate jobs through a full core.Stack, caching compiled
@@ -182,16 +179,20 @@ func (b *StackBackend) resolveStack(r *Request, env *CompileEnv) (*core.Stack, e
 	return stack, nil
 }
 
-// compileOn compiles the program on the resolved stack through the
-// shared full-artefact cache (a nil cache compiles uncached), attaching
-// a "compile" phase span under span when tracing is live.
-func compileOn(stack *core.Stack, p *openql.Program, cache *CompileCache, span *obs.Span) (*openql.Compiled, bool, error) {
+// compileOn compiles the program on the resolved stack through env's
+// full-artefact cache (uncached when env has none), attaching a
+// "compile" phase span under env's span when tracing is live.
+func compileOn(stack *core.Stack, p *openql.Program, env *CompileEnv) (*openql.Compiled, bool, error) {
 	var (
 		compiled *openql.Compiled
 		hit      bool
 		err      error
+		cache    *CompileCache
 	)
-	cspan := span.StartChild("compile")
+	if env != nil {
+		cache = env.Cache
+	}
+	cspan := env.span().StartChild("compile")
 	compileStart := time.Now()
 	if cache == nil {
 		cspan.SetAttr("cache", "off")
@@ -274,40 +275,27 @@ func executeCompiled(stack *core.Stack, compiled *openql.Compiled, numQubits, sh
 // overrides that only change the suffix — still reuse the cached
 // platform-generic prefix artefacts and recompile suffix-only.
 func (b *StackBackend) Run(r *Request, seed int64, env *CompileEnv) (*Result, bool, error) {
-	p, err := b.program(r)
+	stack, p, compiled, hit, err := b.compile(r, env)
 	if err != nil {
 		return nil, false, err
 	}
-	stack, err := b.resolveStack(r, env)
-	if err != nil {
-		return nil, false, err
-	}
-	var span *obs.Span
-	var cache *CompileCache
-	if env != nil {
-		span = env.Span
-		cache = env.Cache
-	}
-	compiled, hit, err := compileOn(stack, p, cache, span)
-	if err != nil {
-		return nil, false, err
-	}
-	rep, err := executeCompiled(stack, compiled, p.NumQubits, r.Shots, seed, span)
+	rep, err := executeCompiled(stack, compiled, p.NumQubits, r.Shots, seed, env.span())
 	if err != nil {
 		return nil, hit, err
 	}
 	return &Result{Report: rep}, hit, nil
 }
 
-// CompileForSession eagerly compiles the request's gate program for the
-// session API: it resolves the request's stack (device, engine and pass
-// overrides apply to every bind the session later streams) and compiles
-// through the shared caches, preserving any symbolic parameters in the
-// artefact. All bindings of one parameterised program share the single
-// cache entry the session compile populated. Returns the resolved stack
-// the session executes on, the program, the (possibly parametric)
-// artefact and whether the compile was a full-artefact cache hit.
-func (b *StackBackend) CompileForSession(r *Request, env *CompileEnv) (*core.Stack, *openql.Program, *openql.Compiled, bool, error) {
+// compile materialises the request's program, resolves the stack it
+// runs on (device, engine and pass overrides applied) and compiles it
+// through the shared caches in env, under env's span when tracing is
+// live. Run executes the artefact at once; a session pins it and
+// streams bindings against it, so symbolic parameters survive and every
+// binding of one parameterised program shares the cache entry this
+// compile populated. Returns the resolved stack, the program, the
+// (possibly parametric) artefact and whether the compile was a
+// full-artefact cache hit.
+func (b *StackBackend) compile(r *Request, env *CompileEnv) (*core.Stack, *openql.Program, *openql.Compiled, bool, error) {
 	p, err := b.program(r)
 	if err != nil {
 		return nil, nil, nil, false, err
@@ -316,11 +304,7 @@ func (b *StackBackend) CompileForSession(r *Request, env *CompileEnv) (*core.Sta
 	if err != nil {
 		return nil, nil, nil, false, err
 	}
-	var cache *CompileCache
-	if env != nil {
-		cache = env.Cache
-	}
-	compiled, hit, err := compileOn(stack, p, cache, nil)
+	compiled, hit, err := compileOn(stack, p, env)
 	if err != nil {
 		return nil, nil, nil, false, err
 	}
@@ -502,5 +486,4 @@ var (
 	_ Backend        = (*AccelBackend)(nil)
 	_ DeviceProvider = (*StackBackend)(nil)
 	_ Recalibrator   = (*StackBackend)(nil)
-	_ SessionBackend = (*StackBackend)(nil)
 )

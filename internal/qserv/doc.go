@@ -21,7 +21,7 @@
 //	                        │                                  │
 //	                  core.Stack.RunCompiled           accel.Accelerator
 //	                        │
-//	                   qx.Engine (reference | optimized | registered)
+//	                   qx.Engine (auto | stabilizer | optimized | reference)
 //
 // A Job is submitted as cQASM text or an *openql.Program (gate jobs) or a
 // *qubo.QUBO (annealing jobs), plus a target backend name and a shot
@@ -31,6 +31,20 @@
 // ErrQueueFull — backpressure instead of unbounded memory growth.
 // Completed jobs stay queryable up to a retention bound, then the oldest
 // are evicted.
+//
+// Every job and session is admitted by the same rules. Submit and
+// OpenSession share one admission step — payload and override
+// validation, the default shot count, the started/stopped checks,
+// routing and the device-override checks against the routed backend —
+// and Submit and BindSession share one enqueue step: job ID, derived
+// seed, trace root with its queue.wait span, the non-blocking lane send
+// and the counters. A bind job's request is its session's admitted
+// request with the bind's own name, shots and seed, so its view reports
+// the session's device and calibration overrides. Over HTTP, POST
+// /submit and POST /sessions share one body-to-Request conversion, and
+// every admitting route shares one error-to-status mapping: 400 for
+// invalid input, 404 for an unknown session, 503 for a full lane (with
+// Retry-After: 1) or a stopped service.
 //
 // Queues are per backend, each drained by its own fixed-size worker pool
 // — a gate-based core.Stack (perfect, superconducting, semiconducting),

@@ -41,6 +41,36 @@ type SubmitRequest struct {
 	Seed        int64               `json:"seed,omitempty"`
 }
 
+// request converts the wire body to a Request, parsing the device target
+// and materialising the QUBO; POST /sessions shares it.
+func (sr *SubmitRequest) request() (Request, error) {
+	req := Request{
+		Name:        sr.Name,
+		CQASM:       sr.CQASM,
+		Backend:     sr.Backend,
+		Engine:      sr.Engine,
+		Passes:      sr.Passes,
+		Calibration: sr.Calibration,
+		Shots:       sr.Shots,
+		Seed:        sr.Seed,
+	}
+	if len(sr.Target) > 0 {
+		dev, err := target.Parse(sr.Target)
+		if err != nil {
+			return Request{}, err
+		}
+		req.Target = dev
+	}
+	if sr.QUBO != nil {
+		q, err := sr.QUBO.toQUBO()
+		if err != nil {
+			return Request{}, err
+		}
+		req.QUBO = q
+	}
+	return req, nil
+}
+
 // QUBOJSON is the wire form of a QUBO: n variables plus sparse
 // upper-triangular terms (diagonal terms are the linear coefficients).
 type QUBOJSON struct {
@@ -213,6 +243,11 @@ func viewJob(j *Job) JobView {
 //	                    compile passes, HTTP traffic)
 //	GET  /healthz       liveness probe
 //
+// Sessions and binds are admitted by the same rules as /submit: one
+// body conversion, one set of validation, routing and override checks,
+// and one error mapping — 400 invalid, 404 unknown session, 503 with
+// Retry-After: 1 when the lane is full, 503 once the service stops.
+//
 // Every request passes through the instrumentation middleware:
 // per-route counters/latency histograms and a Debug-level access log.
 func (s *Service) Handler() http.Handler {
@@ -272,47 +307,50 @@ func (s *Service) instrument(next http.Handler) http.Handler {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var sr SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad json: %w", err))
+	if !decodeBody(w, r, &sr) {
 		return
 	}
-	req := Request{
-		Name:        sr.Name,
-		CQASM:       sr.CQASM,
-		Backend:     sr.Backend,
-		Engine:      sr.Engine,
-		Passes:      sr.Passes,
-		Calibration: sr.Calibration,
-		Shots:       sr.Shots,
-		Seed:        sr.Seed,
-	}
-	if len(sr.Target) > 0 {
-		dev, err := target.Parse(sr.Target)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		req.Target = dev
-	}
-	if sr.QUBO != nil {
-		q, err := sr.QUBO.toQUBO()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		req.QUBO = q
+	req, err := sr.request()
+	if err != nil {
+		writeAdmissionError(w, err)
+		return
 	}
 	job, err := s.Submit(req)
+	writeAccepted(w, job, err)
+}
+
+// decodeBody decodes the JSON request body into v, answering 400 when it
+// is malformed.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad json: %w", err))
+		return false
+	}
+	return true
+}
+
+// writeAdmissionError answers a rejected submit, session open or bind:
+// 404 for an unknown session, 503 for a full lane (with Retry-After) or
+// a stopped service, 400 for anything else.
+func writeAdmissionError(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
 	switch {
+	case errors.Is(err, ErrUnknownSession):
+		code = http.StatusNotFound
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
+		code = http.StatusServiceUnavailable
 	case errors.Is(err, ErrStopped):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+		code = http.StatusServiceUnavailable
+	}
+	writeError(w, code, err)
+}
+
+// writeAccepted answers an enqueue: 202 with the job's ID, status and
+// backend and its trace ID in X-Trace-Id, or the admission error.
+func writeAccepted(w http.ResponseWriter, job *Job, err error) {
+	if err != nil {
+		writeAdmissionError(w, err)
 		return
 	}
 	if id := job.TraceID(); id != "" {
@@ -346,8 +384,7 @@ func (s *Service) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleCalibration(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var cal target.Calibration
-	if err := json.NewDecoder(r.Body).Decode(&cal); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad json: %w", err))
+	if !decodeBody(w, r, &cal) {
 		return
 	}
 	dev, err := s.Recalibrate(name, &cal)

@@ -118,7 +118,7 @@ func (r *Request) validate() error {
 		}
 	}
 	// A calibration override without a target is validated against the
-	// routed backend's device in Submit.
+	// routed backend's device at admission.
 	return nil
 }
 

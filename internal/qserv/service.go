@@ -490,10 +490,7 @@ func (s *Service) runJob(p *backendPool, job *Job) {
 // the circuit.
 func (s *Service) runBind(job *Job, env *CompileEnv) (*Result, error) {
 	sess := job.sess
-	var span *obs.Span
-	if env != nil {
-		span = env.Span
-	}
+	span := env.span()
 	bspan := span.StartChild("bind")
 	bindStart := time.Now()
 	bound, err := sess.compiled.BindArtefact(job.bindVals)
@@ -535,6 +532,18 @@ func (s *Service) retire(job *Job) {
 // Submit validates, routes and enqueues a request, returning the tracked
 // job. It never blocks: a full queue fails fast with ErrQueueFull.
 func (s *Service) Submit(req Request) (*Job, error) {
+	pool, err := s.admit(&req)
+	if err != nil {
+		return nil, err
+	}
+	return s.enqueue(req, pool, nil, nil)
+}
+
+// admit is the admission step every job and session passes: payload and
+// override validation, the default shot count, the started/stopped
+// checks and routing to a lane whose backend accepts the request's
+// device overrides. It fills in req's defaults and returns the lane.
+func (s *Service) admit(req *Request) (*backendPool, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
@@ -549,12 +558,28 @@ func (s *Service) Submit(req Request) (*Job, error) {
 	if s.stopped {
 		return nil, ErrStopped
 	}
-	pool, err := s.route(&req)
+	pool, err := s.route(req)
 	if err != nil {
 		return nil, err
 	}
-	if err := validateDeviceOverrides(&req, pool.b); err != nil {
+	if err := validateDeviceOverrides(req, pool.b); err != nil {
 		return nil, err
+	}
+	return pool, nil
+}
+
+// enqueue creates the job for an admitted request — a session bind when
+// sess is set — and sends it into its lane without blocking: a full lane
+// fails with ErrQueueFull. The job gets its ID, derived seed and trace
+// root with the queue.wait span here, and is recorded in the job table
+// and the counters.
+func (s *Service) enqueue(req Request, pool *backendPool, sess *Session, bindVals map[string]float64) (*Job, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Drain closes the lanes under mu, so this check keeps the send off
+	// a closed channel even when the drain began after admission.
+	if s.stopped {
+		return nil, ErrStopped
 	}
 	n := s.seq.Add(1)
 	seed := req.Seed
@@ -564,12 +589,17 @@ func (s *Service) Submit(req Request) (*Job, error) {
 		seed = s.cfg.Seed + int64(n)*2654435761
 	}
 	job := newJob(fmt.Sprintf("job-%d", n), req, pool, seed)
+	job.sess = sess
+	job.bindVals = bindVals
 	if s.tracer != nil {
 		// The trace ID is the job ID; the root span starts at the job's
 		// submit instant so its duration matches the reported latency.
 		job.trace = s.tracer.StartAt(job.ID, "job", job.submitted)
 		root := job.trace.Root()
 		root.SetAttr("backend", pool.b.Name())
+		if sess != nil {
+			root.SetAttr("session", sess.ID)
+		}
 		if req.Name != "" {
 			root.SetAttr("name", req.Name)
 		}
@@ -588,8 +618,16 @@ func (s *Service) Submit(req Request) (*Job, error) {
 	if s.met != nil {
 		s.met.jobsSubmitted.Inc()
 	}
+	if sess != nil {
+		sess.touch(job.submitted)
+		s.binds.Add(1)
+		if s.met != nil {
+			s.met.bindsTotal.Inc()
+		}
+	}
 	s.log.Debug("job submitted",
-		"trace_id", job.TraceID(), "job", job.ID, "backend", pool.b.Name(), "name", req.Name)
+		"trace_id", job.TraceID(), "job", job.ID, "backend", pool.b.Name(),
+		"session", job.Session(), "name", req.Name)
 	return job, nil
 }
 

@@ -31,15 +31,15 @@ type Session struct {
 	// ID names the session ("sess-N").
 	ID string
 
+	// req is the admitted open request, the template every bind job's
+	// Request copies: routing, device and calibration overrides, engine,
+	// passes and the default per-bind shot count.
+	req       Request
 	pool      *backendPool
 	stack     *core.Stack
 	compiled  *openql.Compiled
 	numQubits int
 	symbols   []string
-	name      string
-	shots     int
-	engine    string
-	passes    string
 	hit       bool
 	created   time.Time
 
@@ -66,6 +66,14 @@ func (ss *Session) usage() (lastUsed time.Time, binds uint64) {
 	return ss.lastUsed, ss.binds
 }
 
+// touch records one bind enqueued at the given instant.
+func (ss *Session) touch(at time.Time) {
+	ss.mu.Lock()
+	ss.lastUsed = at
+	ss.binds++
+	ss.mu.Unlock()
+}
+
 // BindRequest is one parameter binding streamed into a session. Values
 // must bind every free symbol of the session's artefact exactly (and be
 // empty for a concrete program).
@@ -83,51 +91,29 @@ type BindRequest struct {
 
 // OpenSession eagerly compiles the request's gate program — symbolic
 // parameters preserved — and pins the artefact for streaming binds. The
-// request routes exactly like Submit (backend, engine, passes, device
-// and calibration overrides all apply), must carry a gate payload, and
-// compiles through the shared caches: opening a second session on the
-// same program is a cache hit, not a recompile. Idle sessions expire
-// after Config.SessionTTL; opening beyond Config.MaxSessions evicts the
-// least-recently-used session.
+// request is admitted exactly like Submit (backend, engine, passes,
+// device and calibration overrides all apply), must carry a gate
+// payload, and compiles through the shared caches: opening a second
+// session on the same program is a cache hit, not a recompile. Idle
+// sessions expire after Config.SessionTTL; opening beyond
+// Config.MaxSessions evicts the least-recently-used session.
 func (s *Service) OpenSession(req Request) (*Session, error) {
-	if err := req.validate(); err != nil {
-		return nil, err
-	}
 	if req.QUBO != nil {
 		return nil, errors.New("qserv: sessions pin gate programs; QUBO payloads have no parameters to bind")
 	}
-	if req.Shots <= 0 {
-		req.Shots = s.cfg.DefaultShots
-	}
-	s.mu.Lock()
-	if !s.started {
-		s.mu.Unlock()
-		return nil, errors.New("qserv: service not started")
-	}
-	if s.stopped {
-		s.mu.Unlock()
-		return nil, ErrStopped
-	}
-	pool, err := s.route(&req)
-	if err == nil {
-		err = validateDeviceOverrides(&req, pool.b)
-	}
-	var sb SessionBackend
-	if err == nil {
-		var ok bool
-		if sb, ok = pool.b.(SessionBackend); !ok {
-			err = fmt.Errorf("qserv: backend %q does not support sessions", pool.b.Name())
-		}
-	}
-	s.mu.Unlock()
+	pool, err := s.admit(&req)
 	if err != nil {
 		return nil, err
+	}
+	sb, ok := pool.b.(*StackBackend)
+	if !ok {
+		return nil, fmt.Errorf("qserv: backend %q does not support sessions", pool.b.Name())
 	}
 
 	// Compile outside the service lock: an eager compile can be slow and
 	// must not stall Submit. The shared cache deduplicates concurrent
 	// opens of the same program.
-	stack, p, compiled, hit, err := sb.CompileForSession(&req, s.env)
+	stack, p, compiled, hit, err := sb.compile(&req, s.env)
 	if err != nil {
 		return nil, err
 	}
@@ -147,15 +133,12 @@ func (s *Service) OpenSession(req Request) (*Session, error) {
 	n := s.seq.Add(1)
 	sess := &Session{
 		ID:        fmt.Sprintf("sess-%d", n),
+		req:       req,
 		pool:      pool,
 		stack:     stack,
 		compiled:  compiled,
 		numQubits: p.NumQubits,
 		symbols:   compiled.Symbols(),
-		name:      req.Name,
-		shots:     req.Shots,
-		engine:    req.Engine,
-		passes:    req.Passes,
 		hit:       hit,
 		created:   now,
 		lastUsed:  now,
@@ -173,15 +156,13 @@ func (s *Service) OpenSession(req Request) (*Session, error) {
 
 // BindSession binds the session's free parameters and enqueues the bound
 // execution as a sub-job on the session's backend lane, returning the
-// tracked job. The worker never recompiles: it patches the pinned
-// artefact's bind table and executes. Like Submit it never blocks — a
-// full queue fails fast with ErrQueueFull. Bindings are validated here,
-// so malformed value sets are rejected at submit time.
+// tracked job. The job's Request is the session's admitted request with
+// the bind's own name, shots and seed. The worker never recompiles: it
+// patches the pinned artefact's bind table and executes. Like Submit it
+// never blocks — a full queue fails fast with ErrQueueFull. Bindings are
+// validated here, so malformed value sets are rejected at submit time.
 func (s *Service) BindSession(id string, breq BindRequest) (*Job, error) {
-	s.mu.Lock()
-	s.sweepSessionsLocked(time.Now())
-	sess, ok := s.sessions[id]
-	s.mu.Unlock()
+	sess, ok := s.Session(id)
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrUnknownSession, id)
 	}
@@ -195,65 +176,12 @@ func (s *Service) BindSession(id string, breq BindRequest) (*Job, error) {
 			return nil, fmt.Errorf("qserv: session %s: missing value for symbol %q", id, sym)
 		}
 	}
-	shots := breq.Shots
-	if shots <= 0 {
-		shots = sess.shots
+	req := sess.req
+	req.Name, req.Seed = breq.Name, breq.Seed
+	if breq.Shots > 0 {
+		req.Shots = breq.Shots
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.started {
-		return nil, errors.New("qserv: service not started")
-	}
-	if s.stopped {
-		return nil, ErrStopped
-	}
-	n := s.seq.Add(1)
-	seed := breq.Seed
-	if seed == 0 {
-		seed = s.cfg.Seed + int64(n)*2654435761
-	}
-	req := Request{
-		Name:    breq.Name,
-		Backend: sess.pool.b.Name(),
-		Engine:  sess.engine,
-		Passes:  sess.passes,
-		Shots:   shots,
-		Seed:    breq.Seed,
-	}
-	job := newJob(fmt.Sprintf("job-%d", n), req, sess.pool, seed)
-	job.sess = sess
-	job.bindVals = breq.Values
-	if s.tracer != nil {
-		job.trace = s.tracer.StartAt(job.ID, "job", job.submitted)
-		root := job.trace.Root()
-		root.SetAttr("backend", sess.pool.b.Name())
-		root.SetAttr("session", sess.ID)
-		if req.Name != "" {
-			root.SetAttr("name", req.Name)
-		}
-		job.queueSpan = root.StartChildAt("queue.wait", job.submitted)
-	}
-	select {
-	case sess.pool.ch <- job:
-	default:
-		return nil, ErrQueueFull
-	}
-	s.jobs[job.ID] = job
-	s.submitted.Add(1)
-	s.binds.Add(1)
-	sess.mu.Lock()
-	sess.lastUsed = job.submitted
-	sess.binds++
-	sess.mu.Unlock()
-	if s.met != nil {
-		s.met.jobsSubmitted.Inc()
-		s.met.bindsTotal.Inc()
-	}
-	s.log.Debug("bind submitted",
-		"trace_id", job.TraceID(), "job", job.ID, "session", sess.ID,
-		"backend", sess.pool.b.Name(), "name", req.Name)
-	return job, nil
+	return s.enqueue(req, sess.pool, sess, breq.Values)
 }
 
 // CloseSession unpins a session; in-flight binds finish normally (they
@@ -379,15 +307,15 @@ func (s *Service) viewSession(ss *Session) SessionView {
 	lastUsed, binds := ss.usage()
 	v := SessionView{
 		ID:              ss.ID,
-		Name:            ss.name,
+		Name:            ss.req.Name,
 		Backend:         ss.pool.b.Name(),
 		Symbols:         ss.Symbols(),
 		Parametric:      len(ss.symbols) > 0,
 		CompileCacheHit: ss.hit,
 		Binds:           binds,
-		Shots:           ss.shots,
-		Engine:          ss.engine,
-		Passes:          ss.passes,
+		Shots:           ss.req.Shots,
+		Engine:          ss.req.Engine,
+		Passes:          ss.req.Passes,
 		CreatedAt:       ss.created,
 		LastUsedAt:      lastUsed,
 	}
@@ -426,34 +354,23 @@ type BindJSON struct {
 
 func (s *Service) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 	var or OpenSessionJSON
-	if err := json.NewDecoder(r.Body).Decode(&or); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad json: %w", err))
+	if !decodeBody(w, r, &or) {
 		return
 	}
-	req := Request{
-		Name:        or.Name,
-		CQASM:       or.CQASM,
-		Backend:     or.Backend,
-		Engine:      or.Engine,
-		Passes:      or.Passes,
-		Calibration: or.Calibration,
-		Shots:       or.Shots,
+	// The session body is a subset of the /submit body: widen it and
+	// share the wire → Request conversion.
+	wire := SubmitRequest{
+		Name: or.Name, CQASM: or.CQASM, Backend: or.Backend, Engine: or.Engine,
+		Passes: or.Passes, Target: or.Target, Calibration: or.Calibration, Shots: or.Shots,
 	}
-	if len(or.Target) > 0 {
-		dev, err := target.Parse(or.Target)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		req.Target = dev
+	req, err := wire.request()
+	if err != nil {
+		writeAdmissionError(w, err)
+		return
 	}
 	sess, err := s.OpenSession(req)
-	switch {
-	case errors.Is(err, ErrStopped):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+	if err != nil {
+		writeAdmissionError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, s.viewSession(sess))
@@ -487,36 +404,12 @@ func (s *Service) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleBind(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
 	var br BindJSON
-	if err := json.NewDecoder(r.Body).Decode(&br); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad json: %w", err))
+	if !decodeBody(w, r, &br) {
 		return
 	}
-	job, err := s.BindSession(id, BindRequest{
+	job, err := s.BindSession(r.PathValue("id"), BindRequest{
 		Name: br.Name, Values: br.Values, Shots: br.Shots, Seed: br.Seed,
 	})
-	switch {
-	case errors.Is(err, ErrUnknownSession):
-		writeError(w, http.StatusNotFound, err)
-		return
-	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case errors.Is(err, ErrStopped):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if tid := job.TraceID(); tid != "" {
-		w.Header().Set("X-Trace-Id", tid)
-	}
-	writeJSON(w, http.StatusAccepted, SubmitResponse{
-		ID:      job.ID,
-		Status:  job.Status(),
-		Backend: job.Backend(),
-	})
+	writeAccepted(w, job, err)
 }

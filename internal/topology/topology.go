@@ -7,6 +7,7 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Topology is an undirected connectivity graph over qubits 0..N-1.
@@ -14,8 +15,16 @@ type Topology struct {
 	Name string
 	N    int
 	adj  [][]int
-	dist [][]int // all-pairs hop distances, computed lazily
-	next [][]int // next hop on a shortest path, computed with dist
+	// paths holds the all-pairs tables, built on first query and dropped
+	// by AddEdge. Atomic because concurrent compiles against one device
+	// share its topology; racing first queries build equal tables.
+	paths atomic.Pointer[pathTables]
+}
+
+// pathTables are a topology's all-pairs shortest-path tables.
+type pathTables struct {
+	dist [][]int // hop distances, -1 when disconnected
+	next [][]int // next hop on a shortest path
 }
 
 // New returns an edgeless topology over n qubits.
@@ -39,8 +48,7 @@ func (t *Topology) AddEdge(a, b int) {
 	}
 	t.adj[a] = append(t.adj[a], b)
 	t.adj[b] = append(t.adj[b], a)
-	t.dist = nil
-	t.next = nil
+	t.paths.Store(nil)
 }
 
 // Neighbors returns the sorted adjacency list of q.
@@ -91,9 +99,18 @@ func (t *Topology) NumEdges() int {
 	return total / 2
 }
 
-func (t *Topology) computeDistances() {
-	t.dist = make([][]int, t.N)
-	t.next = make([][]int, t.N)
+// tables returns the path tables, building them on first use.
+func (t *Topology) tables() *pathTables {
+	if pt := t.paths.Load(); pt != nil {
+		return pt
+	}
+	pt := t.computePaths()
+	t.paths.Store(pt)
+	return pt
+}
+
+func (t *Topology) computePaths() *pathTables {
+	pt := &pathTables{dist: make([][]int, t.N), next: make([][]int, t.N)}
 	for src := 0; src < t.N; src++ {
 		d := make([]int, t.N)
 		nx := make([]int, t.N)
@@ -113,44 +130,43 @@ func (t *Topology) computeDistances() {
 				}
 			}
 		}
-		t.dist[src] = d
-		t.next[src] = nx
+		pt.dist[src] = d
+		pt.next[src] = nx
 	}
 	// Fill next-hop table: next[src][dst] = a neighbour of src strictly
 	// closer to dst.
 	for src := 0; src < t.N; src++ {
 		for dst := 0; dst < t.N; dst++ {
-			if src == dst || t.dist[src][dst] <= 0 {
+			if src == dst || pt.dist[src][dst] <= 0 {
 				continue
 			}
 			for _, w := range t.adj[src] {
-				if t.dist[w][dst] == t.dist[src][dst]-1 {
-					t.next[src][dst] = w
+				if pt.dist[w][dst] == pt.dist[src][dst]-1 {
+					pt.next[src][dst] = w
 					break
 				}
 			}
 		}
 	}
+	return pt
 }
 
 // Distance returns the hop distance between a and b, or -1 if
 // disconnected.
 func (t *Topology) Distance(a, b int) int {
-	if t.dist == nil {
-		t.computeDistances()
-	}
-	return t.dist[a][b]
+	return t.tables().dist[a][b]
 }
 
 // ShortestPath returns a shortest path from a to b inclusive, or nil if
 // disconnected.
 func (t *Topology) ShortestPath(a, b int) []int {
-	if t.Distance(a, b) < 0 {
+	pt := t.tables()
+	if pt.dist[a][b] < 0 {
 		return nil
 	}
 	path := []int{a}
 	for a != b {
-		a = t.next[a][b]
+		a = pt.next[a][b]
 		path = append(path, a)
 	}
 	return path

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -206,4 +207,33 @@ func TestShortestPathProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Concurrent compiles against one device share its topology: the first
+// path queries on a fresh topology must be safe from many goroutines
+// (run with -race) and agree with serially built tables.
+func TestConcurrentPathQueries(t *testing.T) {
+	ref := Surface17()
+	g := Surface17()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for a := 0; a < g.N; a++ {
+				for b := 0; b < g.N; b++ {
+					d := g.Distance(a, b)
+					if want := ref.Distance(a, b); d != want {
+						t.Errorf("Distance(%d,%d) = %d, want %d", a, b, d, want)
+						return
+					}
+					if p := g.ShortestPath(a, b); len(p) != d+1 {
+						t.Errorf("ShortestPath(%d,%d) = %v, want %d hops", a, b, p, d)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
