@@ -265,7 +265,7 @@ func main() {
 		root.Handle("/", handler)
 		handler = root
 	}
-	server := &http.Server{Addr: *addr, Handler: handler}
+	server := newServer(*addr, handler)
 	go func() {
 		log.Printf("qservd: serving on %s (engine %s; backends: %s)", *addr, *engine, backends)
 		if err := server.ListenAndServe(); err != nil && err != http.ErrServerClosed {
@@ -294,6 +294,26 @@ func main() {
 	st := svc.Stats()
 	log.Printf("qservd: done — %d jobs submitted, %d done, %d failed, cache hit rate %.0f%%",
 		st.JobsSubmitted, st.JobsDone, st.JobsFailed, 100*st.CacheHitRate)
+}
+
+// Connection timeouts of the HTTP server. A client gets readHeaderTimeout
+// to send its request headers and an idle keep-alive connection is
+// closed after idleTimeout, so slow or abandoned connections cannot pin
+// server resources. There is deliberately no write timeout: GET
+// /jobs/{id}?wait= long-polls for as long as the client asks.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds qservd's HTTP server for the handler on addr.
+func newServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // buildLogger assembles the service's slog logger from the -log-format

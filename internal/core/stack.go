@@ -255,13 +255,17 @@ func NewSemiconducting(seed int64) *Stack {
 
 // Report is the result of a full-stack execution: every artefact from
 // source to measurement statistics.
+//
+// EQASM and Trace are built once per compiled artefact (see
+// RunCompiled) and shared by the reports of every run of it: treat
+// them as read-only.
 type Report struct {
 	Stack    string
 	Mode     openql.QubitMode
 	CQASM    string
-	EQASM    string // empty for perfect stacks
+	EQASM    string // empty for perfect stacks; shared, read-only
 	Result   *qx.Result
-	Trace    *microarch.Trace    // nil for perfect stacks
+	Trace    *microarch.Trace    // nil for perfect stacks; shared, read-only
 	Schedule *compiler.Schedule  // timed program
 	Mapping  *compiler.MapResult // nil without topology
 	// Compile is the per-pass account of the compile pipeline that
@@ -277,10 +281,25 @@ type Report struct {
 	// the engine-dispatch counter.
 	Engine string
 	// ExecNs is the measured wall time of the execution phase (engine
-	// shots, or eQASM through the micro-architecture on realistic
-	// stacks) — the run half of the compile/run split. The compile half
-	// is Compile.TotalNs.
+	// shots, or the prepared eQASM program sampled through the
+	// micro-architecture on realistic stacks) — the run half of the
+	// compile/run split. The compile half is Compile.TotalNs.
 	ExecNs int64
+	// Prepare is the cost of building the artefact's execution-ready
+	// form, set only on the run that built it; runs that reuse the form
+	// leave it nil.
+	Prepare *PrepareCost
+}
+
+// PrepareCost is the measured one-time cost of preparing a compiled
+// artefact for execution.
+type PrepareCost struct {
+	// TotalNs is the whole preparation.
+	TotalNs int64
+	// RenderNs renders the eQASM text; DecodeNs expands the timeline,
+	// decodes it through the microcode and compacts the register. Both
+	// are zero on perfect stacks.
+	RenderNs, DecodeNs int64
 }
 
 // Execute compiles and runs an OpenQL program on the stack.
@@ -321,6 +340,12 @@ func (s *Stack) Compile(p *openql.Program) (*openql.Compiled, error) {
 // of the source program, needed to translate outcomes back to logical
 // order. It is safe for concurrent use: the Stack is only read, and all
 // mutable execution state is created per call.
+//
+// Everything a run derives from the artefact alone — on realistic
+// stacks the eQASM text, the timeline and microcode decode and the
+// register compaction, and on every stack the remap of outcomes to
+// logical order — is prepared on the first run and kept on the
+// artefact for every later run with the same microcode table.
 func (s *Stack) RunCompiled(compiled *openql.Compiled, logicalQubits, shots int, seed int64) (*Report, error) {
 	if compiled.IsParametric() {
 		return nil, fmt.Errorf("core: program has unbound parameters %v; bind the artefact (BindArtefact) before execution", compiled.Symbols())
@@ -339,6 +364,10 @@ func (s *Stack) RunCompiled(compiled *openql.Compiled, logicalQubits, shots int,
 	if d, ok := engine.(qx.Dispatcher); ok {
 		engine = d.Dispatch(compiled.Circuit, noise)
 	}
+	prep, built, err := s.prepare(compiled, logicalQubits)
+	if err != nil {
+		return nil, err
+	}
 	report := &Report{
 		Stack:    s.Name,
 		Mode:     s.Mode,
@@ -348,6 +377,11 @@ func (s *Stack) RunCompiled(compiled *openql.Compiled, logicalQubits, shots int,
 		Compile:  compiled.Report,
 		WallNs:   compiled.Schedule.Makespan * s.Platform.CycleTimeNs,
 		Engine:   engine.Name(),
+	}
+	if built {
+		// A copy: the report must not keep the prepared form alive.
+		cost := prep.cost
+		report.Prepare = &cost
 	}
 	parallel := shots >= s.parallelShotThreshold()
 	var res *qx.Result
@@ -364,7 +398,8 @@ func (s *Stack) RunCompiled(compiled *openql.Compiled, logicalQubits, shots int,
 		}
 		report.ExecNs = res.ElapsedNs
 	} else {
-		// Realistic path: eQASM through the micro-architecture onto noisy QX.
+		// Realistic path: the prepared eQASM program through the
+		// micro-architecture onto noisy QX.
 		backend := qx.NewNoisyWithEngine(seed, s.Noise, engine)
 		backend.KernelWorkers = s.KernelWorkers
 		machine := microarch.New(s.Microcode, backend)
@@ -372,32 +407,116 @@ func (s *Stack) RunCompiled(compiled *openql.Compiled, logicalQubits, shots int,
 			machine.ShotWorkers = runtime.GOMAXPROCS(0)
 		}
 		execStart := time.Now()
-		run, err := machine.Execute(compiled.EQASM, shots)
+		run, err := machine.Run(prep.machine, shots)
 		if err != nil {
 			return nil, err
 		}
 		report.ExecNs = time.Since(execStart).Nanoseconds()
-		report.EQASM = compiled.EQASM.String()
+		report.EQASM = prep.eqasm
 		report.Trace = run.Trace
-		if run.Trace != nil {
-			report.WallNs = run.Trace.TotalNs
-		}
+		report.WallNs = run.Trace.TotalNs
 		res = run.Result
 	}
-	// Outcomes come back in physical qubit positions; the mapper's
-	// measure-time bindings return them to the program's logical order.
-	if mr := compiled.MapResult; mr != nil && res != nil {
-		from := make([]int, logicalQubits)
-		for l := range from {
-			from[l] = -1
-			if p, ok := mr.MeasurePhys[l]; ok {
-				from[l] = p
-			}
-		}
-		res = res.Remap(logicalQubits, from)
+	if prep.from != nil && res != nil {
+		res = res.Remap(prep.width, prep.from)
 	}
 	report.Result = res
 	return report, nil
+}
+
+// prepared is the execution-ready form of one compiled artefact on one
+// microcode table: everything RunCompiled derives from the artefact
+// alone. It is built once and shared read-only by every run.
+type prepared struct {
+	eqasm   string              // rendered eQASM; realistic stacks only
+	machine *microarch.Prepared // decoded program; nil on perfect stacks
+	// from and width remap the executed register's outcomes to the
+	// program's logical order in one qx.Result.Remap; from is nil when
+	// that remap is the identity.
+	from  []int
+	width int
+	cost  PrepareCost
+}
+
+// preparedKey names what a prepared form depends on besides the
+// artefact: the microcode table it was decoded with (nil on perfect
+// stacks) and the logical register width outcomes are remapped to.
+type preparedKey struct {
+	microcode *microarch.Config
+	logical   int
+}
+
+// prepare returns the artefact's prepared form for this stack and
+// whether this call built it.
+func (s *Stack) prepare(compiled *openql.Compiled, logicalQubits int) (*prepared, bool, error) {
+	key := preparedKey{logical: logicalQubits}
+	if s.Mode != openql.PerfectQubits {
+		key.microcode = s.Microcode
+	}
+	built := false
+	v, err := compiled.Prepared(key, func() (any, error) {
+		built = true
+		return s.buildPrepared(compiled, key)
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	return v.(*prepared), built, nil
+}
+
+// buildPrepared renders and decodes the artefact's eQASM program on
+// realistic stacks, then composes the micro-architecture's compaction
+// map with the mapper's measure-time bindings into one map from the
+// executed register to the program's logical order.
+func (s *Stack) buildPrepared(compiled *openql.Compiled, key preparedKey) (*prepared, error) {
+	start := time.Now()
+	p := &prepared{width: key.logical}
+	// executed[q] is the executed-register position holding physical
+	// qubit q, or -1; nil means physical and executed positions agree.
+	var executed []int
+	executedWidth := compiled.Circuit.NumQubits
+	if s.Mode != openql.PerfectQubits {
+		p.eqasm = compiled.EQASM.String()
+		rendered := time.Now()
+		mp, err := microarch.New(key.microcode, nil).Prepare(compiled.EQASM)
+		if err != nil {
+			return nil, err
+		}
+		p.machine, executed, executedWidth = mp, mp.Compact, mp.Circuit.NumQubits
+		p.cost.RenderNs = rendered.Sub(start).Nanoseconds()
+		p.cost.DecodeNs = time.Since(rendered).Nanoseconds()
+	}
+	if mr := compiled.MapResult; mr != nil {
+		// Outcomes come back in physical qubit positions; the mapper's
+		// measure-time bindings return them to logical order.
+		p.from = make([]int, key.logical)
+		for l := range p.from {
+			q, ok := mr.MeasurePhys[l]
+			switch {
+			case !ok:
+				q = -1
+			case executed == nil:
+			case q >= 0 && q < len(executed):
+				q = executed[q]
+			default:
+				q = -1
+			}
+			p.from[l] = q
+		}
+	} else if executed != nil {
+		p.from, p.width = executed, len(executed)
+	}
+	if executedWidth == p.width {
+		kept := true
+		for q, src := range p.from {
+			kept = kept && src == q
+		}
+		if kept {
+			p.from = nil
+		}
+	}
+	p.cost.TotalNs = time.Since(start).Nanoseconds()
+	return p, nil
 }
 
 // Fingerprint identifies the stack's full execution-relevant

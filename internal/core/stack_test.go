@@ -4,9 +4,11 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/compiler"
+	"repro/internal/microarch"
 	"repro/internal/openql"
 	"repro/internal/qx"
 )
@@ -313,5 +315,138 @@ func TestRealisticResultCarriesDiagnostics(t *testing.T) {
 		if res := rep.Result; res.Batches < 1 || res.ElapsedNs <= 0 {
 			t.Errorf("ParallelShots=%d: Batches=%d ElapsedNs=%d, want both positive", threshold, res.Batches, res.ElapsedNs)
 		}
+	}
+}
+
+// A stack copy with a different microcode table that runs an artefact
+// another stack already ran reports its own trace: its configuration
+// name, codewords and timing, exactly as on a fresh compile.
+func TestMicrocodeOverrideOnSharedArtefact(t *testing.T) {
+	sc := NewSuperconducting(3)
+	compiled, err := sc.Compile(bell())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.RunCompiled(compiled, 2, 4, 3); err != nil {
+		t.Fatal(err)
+	}
+	spin := *sc
+	spin.Microcode = microarch.SemiconductingConfig()
+	fresh, err := spin.Compile(bell())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := spin.RunCompiled(fresh, 2, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 2; run++ {
+		got, err := spin.RunCompiled(compiled, 2, 4, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Trace.Config != "semiconducting" {
+			t.Fatalf("run %d: trace config %q, want semiconducting", run, got.Trace.Config)
+		}
+		if !reflect.DeepEqual(got.Trace, want.Trace) {
+			t.Fatalf("run %d: trace differs from a fresh compile on the same microcode", run)
+		}
+		for _, p := range got.Trace.Pulses {
+			if p.Codeword < 100 {
+				t.Fatalf("run %d: superconducting codeword %d on the spin microcode", run, p.Codeword)
+			}
+		}
+		if got.WallNs != want.WallNs {
+			t.Errorf("run %d: WallNs %d, want %d", run, got.WallNs, want.WallNs)
+		}
+	}
+	// The original stack still sees its own microcode afterwards.
+	back, err := sc.RunCompiled(compiled, 2, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Trace.Config != "superconducting" {
+		t.Errorf("trace config %q after the override, want superconducting", back.Trace.Config)
+	}
+}
+
+// ghz3 is the fixed 3-qubit program of the allocation guard.
+func ghz3() *openql.Program {
+	p := openql.NewProgram("ghz3", 3)
+	p.AddKernel(openql.NewKernel("ghz", 3).H(0).CNOT(0, 1).CNOT(1, 2).Measure(0).Measure(1).Measure(2))
+	return p
+}
+
+// A cached 1-shot superconducting run of a compiled artefact allocates
+// only the per-run execution state: the eQASM text, timeline, decoded
+// pulse trace and compacted circuit are built once per artefact, not
+// per run. The budget is half the allocation count the run had while
+// it rebuilt them every time (713 allocations per run).
+func TestCachedRunCompiledAllocs(t *testing.T) {
+	s := NewSuperconducting(1)
+	compiled, err := s.Compile(ghz3())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunCompiled(compiled, 3, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := s.RunCompiled(compiled, 3, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per cached run", allocs)
+	if allocs > 356 {
+		t.Errorf("cached RunCompiled allocates %.0f times per run, budget 356", allocs)
+	}
+}
+
+// Concurrent first runs of a fresh artefact share one preparation:
+// exactly one run reports having paid for it, and every run returns the
+// seeded counts of a run on a separately compiled artefact.
+func TestConcurrentFirstRunsPrepareOnce(t *testing.T) {
+	s := NewSuperconducting(2)
+	ref, err := s.Compile(ghz3())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.RunCompiled(ref, 3, 32, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := s.Compile(ghz3())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 8
+	reps := make([]*Report, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			reps[i], errs[i] = s.RunCompiled(compiled, 3, 32, 4)
+		}(i)
+	}
+	wg.Wait()
+	prepared := 0
+	for i, rep := range reps {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if rep.Prepare != nil {
+			prepared++
+		}
+		if !reflect.DeepEqual(rep.Result.Counts, want.Result.Counts) {
+			t.Errorf("run %d: counts %v, want %v", i, rep.Result.Counts, want.Result.Counts)
+		}
+		if rep.EQASM != want.EQASM || !reflect.DeepEqual(rep.Trace, want.Trace) {
+			t.Errorf("run %d: eQASM or trace differs from a separately compiled artefact", i)
+		}
+	}
+	if prepared != 1 {
+		t.Errorf("%d runs prepared the artefact, want exactly 1", prepared)
 	}
 }

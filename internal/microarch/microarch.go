@@ -9,6 +9,15 @@
 // Retargeting the same micro-architecture to a different quantum
 // technology (superconducting → semiconducting, §3.1) only requires a
 // different microcode configuration, as in the paper.
+//
+// Execution is split in two. Prepare takes a program through the work
+// that depends only on the program and the microcode — the timeline,
+// the microcode and timing decode into the pulse trace and gate list,
+// and the compaction of the register onto the qubits the program
+// touches — so timing is decoded once per program. Run then samples
+// the prepared program on the backend, once per job; one prepared
+// program serves any number of runs, concurrently. Execute is Prepare
+// followed by Run.
 package microarch
 
 import (
@@ -156,10 +165,47 @@ type RunReport struct {
 	Result *qx.Result
 }
 
-// Execute runs the program for the given number of shots. Timing is
-// simulated once (it is identical across shots); the quantum backend is
-// sampled per shot.
+// Prepared is a program taken through everything that is identical for
+// every run of it on one microcode configuration. It is immutable: any
+// number of Run calls, from any number of goroutines, share it.
+type Prepared struct {
+	// Trace is the cycle-accurate pulse trace of one shot.
+	Trace *Trace
+	// Circuit is the decoded gate sequence on the compacted register:
+	// physical qubits the program never touches are dropped (they stay
+	// in |0> and carry no information), so the state-vector cost follows
+	// the active circuit rather than the full chip.
+	Circuit *circuit.Circuit
+	// Compact[p] is physical qubit p's index in Circuit's register, or -1
+	// when p is idle. Read the other way it is the qx.Result.Remap map
+	// from compacted outcomes back to physical positions.
+	Compact []int
+}
+
+// Execute runs the program for the given number of shots: Prepare, then
+// Run, with the outcomes returned in physical qubit positions. Timing
+// is simulated once (it is identical across shots); the quantum backend
+// is sampled per shot.
 func (m *Machine) Execute(prog *eqasm.Program, shots int) (*RunReport, error) {
+	p, err := m.Prepare(prog)
+	if err != nil {
+		return nil, err
+	}
+	report, err := m.Run(p, shots)
+	if err != nil {
+		return nil, err
+	}
+	if res := report.Result; res != nil && p.Circuit.NumQubits != len(p.Compact) {
+		report.Result = res.Remap(len(p.Compact), p.Compact)
+	}
+	return report, nil
+}
+
+// Prepare expands the program's timeline, decodes it through the
+// microcode unit and the timing control unit into the pulse trace and
+// gate sequence, and compacts the gate sequence onto the qubits it
+// touches.
+func (m *Machine) Prepare(prog *eqasm.Program) (*Prepared, error) {
 	events, err := prog.Timeline()
 	if err != nil {
 		return nil, err
@@ -168,27 +214,8 @@ func (m *Machine) Execute(prog *eqasm.Program, shots int) (*RunReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	report := &RunReport{Trace: trace}
-	if m.Backend != nil && shots > 0 {
-		res, err := m.runBackend(prog, gates, shots)
-		if err != nil {
-			return nil, err
-		}
-		report.Result = res
-	}
-	return report, nil
-}
-
-// runBackend executes the decoded gate sequence on the quantum backend.
-// The physical register is compacted onto the qubits the program touches
-// (idle qubits stay in |0> and carry no information), which keeps the
-// state-vector cost proportional to the active circuit rather than the
-// full chip; the outcomes are then remapped back to physical positions.
-func (m *Machine) runBackend(prog *eqasm.Program, gates []circuit.Gate, shots int) (*qx.Result, error) {
-	// compact[p] is physical qubit p's index in the compacted register,
-	// or -1 when p is idle: the compaction map and, read the other way,
-	// the remap back to physical positions.
 	compact := make([]int, prog.NumQubits)
+	operands := 0
 	for _, g := range gates {
 		for _, q := range g.Qubits {
 			if q < 0 || q >= len(compact) {
@@ -196,6 +223,7 @@ func (m *Machine) runBackend(prog *eqasm.Program, gates []circuit.Gate, shots in
 			}
 			compact[q] = 1
 		}
+		operands += len(g.Qubits)
 	}
 	active := 0
 	for q, used := range compact {
@@ -206,31 +234,56 @@ func (m *Machine) runBackend(prog *eqasm.Program, gates []circuit.Gate, shots in
 		compact[q] = active
 		active++
 	}
+	// The prepared circuit lives as long as the program it was prepared
+	// from, so it is packed: an exactly sized gate list whose operands
+	// share one backing array.
 	c := circuit.New(prog.Name, active)
-	for _, g := range gates {
-		ng := g.Clone()
-		for i, q := range ng.Qubits {
-			ng.Qubits[i] = compact[q]
+	c.Gates = make([]circuit.Gate, len(gates))
+	qubits := make([]int, 0, operands)
+	for i, g := range gates {
+		start := len(qubits)
+		for _, q := range g.Qubits {
+			qubits = append(qubits, compact[q])
 		}
-		c.AddGate(ng)
+		g.Qubits = qubits[start:len(qubits):len(qubits)]
+		c.Gates[i] = g
 	}
-	// One shot worker runs the shots serially, exactly as Run.
-	res, err := m.Backend.RunParallel(c, shots, max(m.ShotWorkers, 1))
+	return &Prepared{Trace: trace, Circuit: c, Compact: compact}, nil
+}
+
+// Run samples the prepared program for the given number of shots on the
+// machine's backend. The result's outcomes are in the compacted
+// register's order (Prepared.Compact maps them back to physical
+// positions); the report shares the prepared trace. A machine without a
+// backend, or zero shots, yields the trace alone.
+func (m *Machine) Run(p *Prepared, shots int) (*RunReport, error) {
+	report := &RunReport{Trace: p.Trace}
+	if m.Backend == nil || shots <= 0 {
+		return report, nil
+	}
+	// One shot worker runs the shots serially, exactly as Simulator.Run.
+	res, err := m.Backend.RunParallel(p.Circuit, shots, max(m.ShotWorkers, 1))
 	if err != nil {
 		return nil, err
 	}
-	if active == prog.NumQubits {
-		return res, nil
-	}
-	return res.Remap(prog.NumQubits, compact), nil
+	report.Result = res
+	return report, nil
 }
 
 // decode expands timeline events through the microcode unit and the
 // timing control unit, producing the pulse trace and the equivalent gate
 // sequence in event order.
 func (m *Machine) decode(prog *eqasm.Program, events []eqasm.Event) (*Trace, []circuit.Gate, error) {
+	// Every operand qubit gets one pulse per codeword of its opcode.
+	// The trace outlives the decode (every run of the program shares
+	// it), so its pulse list is allocated once, at full size.
+	pulses := 0
+	for _, ev := range events {
+		pulses += len(ev.Qubits) * len(m.Config.Microcode[ev.Op])
+	}
 	trace := &Trace{
 		Config:        m.Config.Name,
+		Pulses:        make([]Pulse, 0, pulses),
 		ChannelBusyNs: map[ChannelKind]int{},
 		InstrCount:    len(prog.Instrs),
 		EventCount:    len(events),

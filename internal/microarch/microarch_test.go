@@ -2,6 +2,8 @@ package microarch
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/circuit"
@@ -227,5 +229,91 @@ func TestShotWorkersParallelBackend(t *testing.T) {
 	// Timing decode is shot-independent and must be unaffected.
 	if report.Trace == nil || report.Trace.TotalNs <= 0 {
 		t.Error("parallel shot execution lost the timing trace")
+	}
+}
+
+// ghzProgram assembles a 3-qubit GHZ circuit for the 17-qubit
+// transmon chip, so compaction drops most of the register.
+func ghzProgram(t *testing.T) *eqasm.Program {
+	t.Helper()
+	c := circuit.New("ghz", 3)
+	c.Add("h", []int{0})
+	c.Add("cnot", []int{0, 1})
+	c.Add("cnot", []int{1, 2})
+	c.MeasureAll()
+	return compileToEqasm(t, c, compiler.Superconducting())
+}
+
+// Execute is Prepare followed by Run: the same trace and the same
+// seeded counts once Run's compacted outcomes return to physical
+// positions, on both technologies' microcode.
+func TestPrepareRunMatchesExecute(t *testing.T) {
+	prog := ghzProgram(t)
+	for _, cfg := range []func() *Config{SuperconductingConfig, SemiconductingConfig} {
+		backend := func() *qx.Simulator { return qx.NewNoisy(5, qx.Depolarizing(0.05)) }
+		want, err := New(cfg(), backend()).Execute(prog, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := New(cfg(), backend())
+		p, err := m.Prepare(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Circuit.NumQubits != 3 {
+			t.Errorf("%s: compacted register has %d qubits, want 3", cfg().Name, p.Circuit.NumQubits)
+		}
+		got, err := m.Run(p, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Trace, want.Trace) {
+			t.Errorf("%s: Prepare+Run trace differs from Execute", cfg().Name)
+		}
+		phys := got.Result.Remap(len(p.Compact), p.Compact)
+		if phys.NumQubits != prog.NumQubits || !reflect.DeepEqual(phys.Counts, want.Result.Counts) {
+			t.Errorf("%s: Prepare+Run counts %v on %d qubits, Execute %v on %d",
+				cfg().Name, phys.Counts, phys.NumQubits, want.Result.Counts, want.Result.NumQubits)
+		}
+	}
+}
+
+// One prepared program runs from many goroutines at once, each on its
+// own seeded backend, with exactly the counts of a serial run.
+func TestPreparedConcurrentRuns(t *testing.T) {
+	cfg := SuperconductingConfig()
+	p, err := New(cfg, nil).Prepare(ghzProgram(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() (*RunReport, error) {
+		return New(cfg, qx.NewNoisy(5, qx.Depolarizing(0.05))).Run(p, 200)
+	}
+	want, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 8
+	got := make([]*RunReport, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = run()
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(got[i].Result.Counts, want.Result.Counts) {
+			t.Errorf("goroutine %d: counts %v, serial %v", i, got[i].Result.Counts, want.Result.Counts)
+		}
+		if got[i].Trace != p.Trace {
+			t.Errorf("goroutine %d: run does not share the prepared trace", i)
+		}
 	}
 }

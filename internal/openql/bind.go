@@ -127,6 +127,9 @@ func (c *Compiled) BindArtefact(vals map[string]float64) (*Compiled, error) {
 
 	out := *c
 	out.Binds = nil
+	// The bound copy executes different parameters: it prepares its
+	// own execution-ready form, never the symbolic artefact's.
+	out.prepared = &preparedSlot{}
 
 	// Patch the circuit: clone the gate slice, then deep-copy only the
 	// gates holding symbolic slots (fresh Params, expressions dropped).

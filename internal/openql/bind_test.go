@@ -250,3 +250,88 @@ func TestSymbolicContentHashSharedAcrossBindings(t *testing.T) {
 		t.Fatal("different expressions must hash differently")
 	}
 }
+
+// TestBoundRunsMatchRecompileAfterSharedRuns: once the unbound artefact
+// and a first bound copy have run, every later binding still executes
+// its own parameters. Each bound run's eQASM text and traced pulse
+// parameters must equal those of a fresh Bind(θ)-then-compile, so no
+// bound copy can reuse a form derived from its symbolic parent or a
+// sibling binding.
+func TestBoundRunsMatchRecompileAfterSharedRuns(t *testing.T) {
+	// Explicit per-qubit measurements keep the realistic register to
+	// the qubits the circuit touches (a whole-chip measurement would
+	// simulate all 17).
+	ansatz := func(lit map[string]float64) *openql.Program {
+		angle := func(k *openql.Kernel, name string, q int, sym string) {
+			if lit == nil {
+				k.GateExpr(name, []int{q}, circuit.Sym(sym))
+			} else {
+				k.Gate(name, []int{q}, lit[sym])
+			}
+		}
+		k := openql.NewKernel("layer", 3)
+		k.H(0).H(1).H(2)
+		angle(k, "rz", 0, "gamma0")
+		k.CNOT(0, 1).CNOT(1, 2)
+		angle(k, "rx", 2, "beta0")
+		k.Measure(0).Measure(1).Measure(2)
+		p := openql.NewProgram("ansatz", 3)
+		p.AddKernel(k)
+		return p
+	}
+	stack := core.NewSuperconducting(5)
+	cs, err := stack.Compile(ansatz(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stack.RunCompiled(cs, 3, 2, 9); err == nil {
+		t.Fatal("executing an unbound artefact must fail")
+	}
+	points := []map[string]float64{
+		{"gamma0": 0.7, "beta0": -0.3},
+		{"gamma0": -1.1, "beta0": 0.9},
+		{"gamma0": 0.7, "beta0": -0.3}, // the first point again, bound afresh
+	}
+	for i, vals := range points {
+		bound, err := cs.BindArtefact(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := stack.Compile(ansatz(vals))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Run the bound copy twice: the second run may reuse whatever
+		// the first prepared, and must still match the reference.
+		for run := 0; run < 2; run++ {
+			got, err := stack.RunCompiled(bound, 3, 2, 9)
+			if err != nil {
+				t.Fatalf("point %d run %d: %v", i, run, err)
+			}
+			want, err := stack.RunCompiled(ref, 3, 2, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.EQASM != want.EQASM {
+				t.Fatalf("point %d run %d: eQASM differs:\nbound:\n%s\nrecompiled:\n%s", i, run, got.EQASM, want.EQASM)
+			}
+			gp, wp := got.Trace.Pulses, want.Trace.Pulses
+			if len(gp) != len(wp) {
+				t.Fatalf("point %d run %d: %d pulses, recompile has %d", i, run, len(gp), len(wp))
+			}
+			parametric := false
+			for k := range gp {
+				parametric = parametric || gp[k].Param != 0
+				if math.Abs(gp[k].Param-wp[k].Param) > 1e-9 {
+					t.Fatalf("point %d run %d: pulse %d param %v, recompile %v", i, run, k, gp[k].Param, wp[k].Param)
+				}
+			}
+			if !parametric {
+				t.Fatalf("point %d run %d: no pulse carries a rotation angle", i, run)
+			}
+			if !reflect.DeepEqual(got.Result.Counts, want.Result.Counts) {
+				t.Fatalf("point %d run %d: counts %v, recompile %v", i, run, got.Result.Counts, want.Result.Counts)
+			}
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -341,6 +342,47 @@ type Compiled struct {
 	// the artefact offsets they flow into; BindArtefact consumes it. A
 	// nil table means the artefact is concrete and ready to execute.
 	Binds *BindTable
+	// prepared holds the execution-ready form derived from this
+	// artefact (see Prepared). Compile and BindArtefact give every
+	// artefact its own; a nil slot prepares on every call.
+	prepared *preparedSlot
+}
+
+// errPreparePanicked is what callers of Prepared see after the call
+// that was preparing the form panicked.
+var errPreparePanicked = errors.New("openql: preparing the artefact panicked")
+
+// preparedSlot memoises one execution-ready form of an artefact.
+type preparedSlot struct {
+	once sync.Once
+	key  any
+	val  any
+	err  error
+}
+
+// Prepared returns the execution-ready form that prepare derives from
+// this artefact — for example its decoded eQASM timeline on one
+// microcode table — building it at most once per artefact: concurrent
+// first callers share one call of prepare, and later callers reuse its
+// result. The form is remembered under key, which must be comparable;
+// a caller passing a different key (a different microcode table, say)
+// never sees it and gets a freshly prepared form that is not
+// remembered. The form is shared by every caller and must be treated
+// as immutable. It lives and dies with the artefact, so whatever bounds
+// the artefacts (the compile cache) bounds the prepared forms too.
+func (c *Compiled) Prepared(key any, prepare func() (any, error)) (any, error) {
+	slot := c.prepared
+	if slot == nil {
+		return prepare()
+	}
+	slot.once.Do(func() {
+		slot.key, slot.err = key, errPreparePanicked
+		slot.val, slot.err = prepare()
+	})
+	if slot.key != key {
+		return prepare()
+	}
+	return slot.val, slot.err
 }
 
 // compilePrefix runs every kernel through the pipeline's platform-generic
@@ -545,6 +587,7 @@ func (p *Program) Compile(opts CompileOptions) (*Compiled, error) {
 		Schedule:  ctx.Schedule,
 		MapResult: ctx.MapResult,
 		Report:    report,
+		prepared:  &preparedSlot{},
 	}
 	if opts.Mode == RealisticQubits {
 		prog, _ := ctx.Assembled.(*eqasm.Program)

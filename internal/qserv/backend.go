@@ -228,8 +228,9 @@ func compileOn(stack *core.Stack, p *openql.Program, env *CompileEnv) (*openql.C
 }
 
 // executeCompiled runs a concrete artefact on the stack under an
-// "execute" phase span, decorating it with shot count and the engine's
-// measured wall time.
+// "execute" phase span, decorating it with shot count, the engine's
+// measured wall time and — on the job that prepared the artefact for
+// execution — a "prepare" span.
 func executeCompiled(stack *core.Stack, compiled *openql.Compiled, numQubits, shots int, seed int64, span *obs.Span) (*core.Report, error) {
 	espan := span.StartChild("execute")
 	rep, err := stack.RunCompiled(compiled, numQubits, shots, seed)
@@ -244,11 +245,23 @@ func executeCompiled(stack *core.Stack, compiled *openql.Compiled, numQubits, sh
 		if rep.Engine != "" {
 			espan.SetAttr("engine", rep.Engine)
 		}
+		engineStart := time.Now().Add(-time.Duration(rep.ExecNs))
+		if pc := rep.Prepare; pc != nil {
+			// The one-time preparation of the artefact ran just before
+			// the engine, on the job that paid for it: render and decode
+			// laid end to end under it.
+			start := engineStart.Add(-time.Duration(pc.TotalNs))
+			prep := espan.ChildAt("prepare", start, time.Duration(pc.TotalNs))
+			if pc.RenderNs > 0 || pc.DecodeNs > 0 {
+				prep.ChildAt("render", start, time.Duration(pc.RenderNs))
+				prep.ChildAt("decode", start.Add(time.Duration(pc.RenderNs)), time.Duration(pc.DecodeNs))
+			}
+		}
 		if rep.ExecNs > 0 {
 			// The engine's measured wall time, anchored so the span ends
 			// where the execute phase does.
 			d := time.Duration(rep.ExecNs)
-			eng := espan.ChildAt("engine", time.Now().Add(-d), d)
+			eng := espan.ChildAt("engine", engineStart, d)
 			if rep.Engine != "" {
 				eng.SetAttr("engine", rep.Engine)
 			}

@@ -255,7 +255,10 @@
 // (hit/miss/off), per-kernel prefix-compile spans and per-pass suffix
 // spans synthesised from the compiler.CompileReport — and "execute"
 // with an "engine" child carrying the measured execution time and shot
-// batch count. GET /jobs/{id}/trace returns the span tree as JSON,
+// batch count. The first job to run an artefact also shows a "prepare"
+// child of "execute" (with "render" and "decode" children on realistic
+// stacks): the one-time eQASM rendering, timeline and microcode decode
+// and register compaction that every later run of the artefact reuses. GET /jobs/{id}/trace returns the span tree as JSON,
 // GET /jobs/{id} includes the trace_id, and POST /submit echoes it in
 // the X-Trace-Id response header.
 //

@@ -461,3 +461,62 @@ func TestConcurrentRecalibration(t *testing.T) {
 		t.Errorf("calibration_reloads_total = %g, want 8", got)
 	}
 }
+
+// The job that first runs a realistic artefact pays for preparing it —
+// eQASM rendering, timeline and microcode decode — and its trace shows
+// that under "execute"; a cached resubmit reuses the prepared form and
+// shows no "prepare" span. Both still record the engine.
+func TestPrepareSpanOnlyOnFirstRun(t *testing.T) {
+	s := twoBackendService(t, Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	execute := func() *obs.SpanView {
+		t.Helper()
+		j, err := s.Submit(Request{Program: bellProgram("bell"), Backend: "semiconducting", Shots: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		root := j.Trace().View().Root
+		for _, run := range root.Children {
+			for _, c := range run.Children {
+				if c.Name == "execute" {
+					return c
+				}
+			}
+		}
+		t.Fatalf("no execute span in %+v", root)
+		return nil
+	}
+	child := func(sp *obs.SpanView, name string) *obs.SpanView {
+		for _, c := range sp.Children {
+			if c.Name == name {
+				return c
+			}
+		}
+		return nil
+	}
+
+	cold := execute()
+	prep := child(cold, "prepare")
+	if prep == nil {
+		t.Fatalf("cold job's execute children = %+v, want a prepare span", cold.Children)
+	}
+	if child(prep, "render") == nil || child(prep, "decode") == nil {
+		t.Errorf("prepare children = %+v, want render and decode", prep.Children)
+	}
+	if child(cold, "engine") == nil {
+		t.Error("cold job has no engine span")
+	}
+	for i := 0; i < 2; i++ {
+		hot := execute()
+		if child(hot, "prepare") != nil {
+			t.Errorf("cached resubmit %d prepared the artefact again", i)
+		}
+		if child(hot, "engine") == nil {
+			t.Errorf("cached resubmit %d has no engine span", i)
+		}
+	}
+}
